@@ -46,18 +46,31 @@ Variable merge_heads(const Variable& x) {
 /// Scaled dot-product attention on head-split operands
 /// q: [*, h, Nq, dh], k/v: [*, h, Nk, dh] -> [*, h, Nq, dh].
 Variable scaled_attention(const Variable& q, const Variable& k,
-                          const Variable& v, bool fused) {
+                          const Variable& v) {
   const Index dh = q.shape().dim(-1);
   const float s = 1.0f / std::sqrt(static_cast<float>(dh));
-  if (fused && !autograd::is_grad_enabled()) {
-    // Tape-free: scale + softmax rows fused into the score GEMM's strips.
-    tensor::Tensor probs = tensor::ops::matmul_scale_softmax(
-        q.value(), tensor::ops::transpose_last2(k.value()), s);
-    return Variable::input(tensor::ops::matmul(probs, v.value()));
-  }
   Variable scores =
       autograd::scale(autograd::matmul(q, autograd::transpose_last2(k)), s);
   return autograd::matmul(autograd::softmax_lastdim(scores), v);
+}
+
+Variable multi_head_attention(const Linear& wq, const Linear& wk,
+                              const Linear& wv, const Variable& q_in,
+                              const Variable& kv_in, Index heads,
+                              bool frozen) {
+  if (frozen && !autograd::is_grad_enabled()) {
+    const Variable q = wq.forward(q_in);
+    const Index dh = q.shape().dim(-1) / heads;
+    const float s = 1.0f / std::sqrt(static_cast<float>(dh));
+    return Variable::input(tensor::ops::attention_heads(
+        q.value(), wk.forward(kv_in).value(), wv.forward(kv_in).value(),
+        heads, s));
+  }
+  // Each projection dies once split: only the head-split copies stay live.
+  const Variable q = split_heads(wq.forward(q_in), heads);
+  const Variable k = split_heads(wk.forward(kv_in), heads);
+  const Variable v = split_heads(wv.forward(kv_in), heads);
+  return merge_heads(scaled_attention(q, k, v));
 }
 
 void check_subset_slots(std::span<const Index> slots, Index width,
@@ -77,9 +90,7 @@ void check_subset_slots(std::span<const Index> slots, Index width,
 }  // namespace detail
 
 using detail::check_subset_slots;
-using detail::merge_heads;
-using detail::scaled_attention;
-using detail::split_heads;
+using detail::multi_head_attention;
 
 Variable ChannelAggregator::forward_subset(
     const Variable& tokens, std::span<const Index> slots) const {
@@ -110,21 +121,17 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(Index dim, Index heads,
 Variable MultiHeadSelfAttention::forward(const Variable& x) const {
   DCHAG_CHECK(x.shape().dim(-1) == dim_,
               "attention dim mismatch: " << x.shape().to_string());
-  Variable q = split_heads(wq_->forward(x), heads_);
-  Variable k = split_heads(wk_->forward(x), heads_);
-  Variable v = split_heads(wv_->forward(x), heads_);
-  return wo_->forward(merge_heads(scaled_attention(q, k, v, is_frozen())));
+  return wo_->forward(
+      multi_head_attention(*wq_, *wk_, *wv_, x, x, heads_, is_frozen()));
 }
 
 Variable MultiHeadSelfAttention::forward_residual(
     const Variable& x, const Variable& residual) const {
   DCHAG_CHECK(x.shape().dim(-1) == dim_,
               "attention dim mismatch: " << x.shape().to_string());
-  Variable q = split_heads(wq_->forward(x), heads_);
-  Variable k = split_heads(wk_->forward(x), heads_);
-  Variable v = split_heads(wv_->forward(x), heads_);
   return wo_->forward_residual(
-      merge_heads(scaled_attention(q, k, v, is_frozen())), residual);
+      multi_head_attention(*wq_, *wk_, *wv_, x, x, heads_, is_frozen()),
+      residual);
 }
 
 CrossAttentionAggregator::CrossAttentionAggregator(
@@ -172,11 +179,8 @@ Variable CrossAttentionAggregator::forward(const Variable& tokens) const {
     q_src = autograd::expand_dim(q, 0, B);            // [B, S, 1, D]
   }
 
-  Variable qh = split_heads(wq_->forward(q_src), heads_);
-  Variable kh = split_heads(wk_->forward(x), heads_);
-  Variable vh = split_heads(wv_->forward(x), heads_);
-  Variable out =
-      wo_->forward(merge_heads(scaled_attention(qh, kh, vh, is_frozen())));
+  Variable out = wo_->forward(
+      multi_head_attention(*wq_, *wk_, *wv_, q_src, x, heads_, is_frozen()));
 
   if (mode_ == QueryMode::kChannelTokens) {
     return autograd::mean_dim(out, 2);  // pool C attended tokens -> one

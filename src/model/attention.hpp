@@ -23,12 +23,21 @@ namespace detail {
 /// Inverse of split_heads: [*, h, N, dh] -> [*, N, h*dh].
 [[nodiscard]] Variable merge_heads(const Variable& x);
 /// softmax(q k^T / sqrt(dh)) v on head-split operands
-/// q: [*, h, Nq, dh], k/v: [*, h, Nk, dh]. With `fused` (a frozen owner)
-/// and gradients off, the scale+softmax rows ride the score GEMM's row
-/// strips (ops::matmul_scale_softmax) — bit-identical, tape-free.
+/// q: [*, h, Nq, dh], k/v: [*, h, Nk, dh].
 [[nodiscard]] Variable scaled_attention(const Variable& q, const Variable& k,
-                                        const Variable& v,
-                                        bool fused = false);
+                                        const Variable& v);
+/// Multi-head attention of q_in [*, Nq, D] over kv_in [*, Nk, D] through
+/// the q/k/v projections -> [*, Nq, D], before the output projection.
+/// With `frozen` (a serving-frozen owner) and gradients off it runs
+/// ops::attention_heads on the merged projections, tape-free; otherwise
+/// the split_heads -> scaled_attention -> merge_heads composition, which
+/// is the kernel's bit-exact oracle.
+[[nodiscard]] Variable multi_head_attention(const Linear& wq,
+                                            const Linear& wk,
+                                            const Linear& wv,
+                                            const Variable& q_in,
+                                            const Variable& kv_in,
+                                            Index heads, bool frozen);
 /// Validates a partial-channel slot list: strictly increasing indices in
 /// [0, width), one per token (ntokens == slots.size()).
 void check_subset_slots(std::span<const Index> slots, Index width,

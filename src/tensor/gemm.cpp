@@ -51,6 +51,22 @@ void pack_b(const float* B, Index ldb, Index kc, Index nc, float* out) {
   }
 }
 
+/// pack_b's transposed-source twin: the same panels for B = Bt^T, read
+/// straight out of row-major Bt[N,K] (row stride ldbt), so a K^T operand
+/// never has to be materialised.
+void pack_bt(const float* Bt, Index ldbt, Index kc, Index nc, float* out) {
+  for (Index j = 0; j < nc; j += kNR) {
+    const Index nr = std::min(kNR, nc - j);
+    for (Index c = 0; c < nr; ++c) {
+      const float* col = Bt + (j + c) * ldbt;
+      for (Index k = 0; k < kc; ++k) out[k * kNR + c] = col[k];
+    }
+    for (Index c = nr; c < kNR; ++c)
+      for (Index k = 0; k < kc; ++k) out[k * kNR + c] = 0.0f;
+    out += kKC * kNR;
+  }
+}
+
 /// MR x NR register tile over one KC slice of packed panels; writes back
 /// only the mr x nr valid corner. Per-element accumulation is strictly
 /// k-ordered in both variants, which is what keeps the blocked and
@@ -164,10 +180,12 @@ void macro_kernel(Index M, Index nc, Index kc, const float* A, Index lda,
   }
 }
 
-}  // namespace
-
-void gemm_blocked(Index M, Index N, Index K, const float* A, Index lda,
-                  const float* B, Index ldb, float* C, Index ldc) {
+/// The per-call blocked GEMM; kTransB reads B as the transpose of a
+/// row-major [N,K] source. Either way the panels, and so every C bit, are
+/// the same.
+template <bool kTransB>
+void gemm_per_call(Index M, Index N, Index K, const float* A, Index lda,
+                   const float* B, Index ldb, float* C, Index ldc) {
   if (M <= 0 || N <= 0 || K <= 0) return;
   float* packed_a = thread_packed_a();
   float* packed_b_buf = thread_packed_b();
@@ -175,10 +193,26 @@ void gemm_blocked(Index M, Index N, Index K, const float* A, Index lda,
     const Index nc = std::min(kNC, N - jc);
     for (Index pc = 0; pc < K; pc += kKC) {
       const Index kc = std::min(kKC, K - pc);
-      pack_b(B + pc * ldb + jc, ldb, kc, nc, packed_b_buf);
+      if constexpr (kTransB) {
+        pack_bt(B + jc * ldb + pc, ldb, kc, nc, packed_b_buf);
+      } else {
+        pack_b(B + pc * ldb + jc, ldb, kc, nc, packed_b_buf);
+      }
       macro_kernel(M, nc, kc, A, lda, pc, packed_b_buf, C, ldc, jc, packed_a);
     }
   }
+}
+
+}  // namespace
+
+void gemm_blocked(Index M, Index N, Index K, const float* A, Index lda,
+                  const float* B, Index ldb, float* C, Index ldc) {
+  gemm_per_call<false>(M, N, K, A, lda, B, ldb, C, ldc);
+}
+
+void gemm_blocked_bt(Index M, Index N, Index K, const float* A, Index lda,
+                     const float* Bt, Index ldbt, float* C, Index ldc) {
+  gemm_per_call<true>(M, N, K, A, lda, Bt, ldbt, C, ldc);
 }
 
 PackedB pack_b_matrix(const float* B, Index K, Index N, Index ldb) {

@@ -25,6 +25,13 @@ namespace dchag::tensor::gemm {
 void gemm_blocked(Index M, Index N, Index K, const float* A, Index lda,
                   const float* B, Index ldb, float* C, Index ldc);
 
+/// C[M,N] += A[M,K] * Bt^T for row-major Bt[N,K] (row stride ldbt):
+/// gemm_blocked with B = Bt^T, packed straight from Bt into the same
+/// panels, so it is bit-identical to gemm_blocked on a materialised
+/// transpose. Attention's Q K^T reads K in place through this.
+void gemm_blocked_bt(Index M, Index N, Index K, const float* A, Index lda,
+                     const float* Bt, Index ldbt, float* C, Index ldc);
+
 /// A weight matrix's B-side panels, packed once ahead of serving so
 /// pack_b leaves the per-call GEMM path entirely. The panel bytes are
 /// exactly what gemm_blocked's per-call pack_b would produce for every

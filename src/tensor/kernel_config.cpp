@@ -48,12 +48,17 @@ void set_kernel_config(KernelConfig cfg) {
 #endif
 
 bool blocked_kernels_supported() {
+  // gemm.cpp builds generic off x86-64 or with DCHAG_KERNELS_AVX2=OFF.
+  static const bool ok = !gemm::compiled_with_avx2() || cpu_supports_avx2_fma();
+  return ok;
+}
+
+bool cpu_supports_avx2_fma() {
 #if defined(__x86_64__) || defined(_M_X64)
-  static const bool ok = !gemm::compiled_with_avx2() ||
-                         (__builtin_cpu_supports("avx2") &&
-                          __builtin_cpu_supports("fma"));
+  static const bool ok =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
-  static const bool ok = true;  // gemm.cpp builds generic off x86-64
+  static const bool ok = false;
 #endif
   return ok;
 }

@@ -43,6 +43,10 @@ using runtime::to_string;
 /// never a fault, never an exception, so exotic hosts still run.
 [[nodiscard]] bool blocked_kernels_supported();
 
+/// CPUID: this CPU executes AVX2 and FMA (false off x86-64). Checked once
+/// per process; gates the blocked GEMM and the vector softmax row alike.
+[[nodiscard]] bool cpu_supports_avx2_fma();
+
 #ifdef DCHAG_DEPRECATED_CONFIG
 
 /// Replaces the kernels field of the process-default runtime::Context.

@@ -7,6 +7,7 @@
 
 #include "tensor/dispatch.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/softmax.hpp"
 
 namespace dchag::tensor::ops {
 
@@ -117,19 +118,6 @@ inline float gelu_scalar(float x) {
   return 0.5f * x * (1.0f + std::tanh(kGeluC * (x + 0.044715f * x * x * x)));
 }
 
-/// One softmax row; orow may alias row (the fused in-place case).
-inline void softmax_row(const float* row, float* orow, Index D) {
-  float mx = row[0];
-  for (Index j = 1; j < D; ++j) mx = std::max(mx, row[j]);
-  float sum = 0.0f;
-  for (Index j = 0; j < D; ++j) {
-    orow[j] = std::exp(row[j] - mx);
-    sum += orow[j];
-  }
-  const float inv = 1.0f / sum;
-  for (Index j = 0; j < D; ++j) orow[j] *= inv;
-}
-
 /// One layernorm row; yrow may alias row. mean/rstd sinks are optional.
 inline void ln_row(const float* row, float* yrow, Index D, const float* g,
                    const float* b, float eps, float* mean_out,
@@ -147,6 +135,15 @@ inline void ln_row(const float* row, float* yrow, Index D, const float* g,
   if (mean_out != nullptr) *mean_out = m;
   if (rstd_out != nullptr) *rstd_out = rs;
   for (Index j = 0; j < D; ++j) yrow[j] = (row[j] - m) * rs * g[j] + b[j];
+}
+
+/// Per-lane score scratch of attention_heads: grows to the largest block
+/// seen, then serves every later call without touching the heap.
+float* thread_scores(Index n) {
+  static thread_local AlignedVec scores;
+  if (static_cast<Index>(scores.size()) < n)
+    scores.resize(static_cast<std::size_t>(n));
+  return scores.data();
 }
 
 }  // namespace
@@ -387,85 +384,103 @@ Tensor linear_fused(const Tensor& x, const Tensor& w,
   return out;
 }
 
-Tensor matmul_scale_softmax(const Tensor& a, const Tensor& b, float s) {
-  DCHAG_CHECK(a.rank() >= 2 && b.rank() >= 2,
-              "matmul_scale_softmax ranks " << a.rank() << ", " << b.rank());
-  const Index M = a.dim(-2);
-  const Index K = a.dim(-1);
-  const Index N = b.dim(-1);
-  DCHAG_CHECK(K == b.dim(-2), "matmul_scale_softmax inner dims "
-                                  << a.shape().to_string() << " x "
-                                  << b.shape().to_string());
-  const bool shared_b = b.rank() == 2 && a.rank() > 2;
+Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
+                       Index heads, float s) {
+  DCHAG_CHECK(q.rank() >= 2 && k.rank() == q.rank() && v.shape() == k.shape(),
+              "attention_heads shapes " << q.shape().to_string() << ", "
+                                        << k.shape().to_string() << ", "
+                                        << v.shape().to_string());
+  const Index Nq = q.dim(-2);
+  const Index Nk = k.dim(-2);
+  const Index D = q.dim(-1);
+  DCHAG_CHECK(heads > 0 && D % heads == 0 && k.dim(-1) == D && Nk > 0,
+              "attention_heads: " << heads << " heads over q "
+                                  << q.shape().to_string() << ", k "
+                                  << k.shape().to_string());
   Index batch = 1;
-  for (Index d = 0; d < a.rank() - 2; ++d) batch *= a.dim(d);
-  if (!shared_b) {
-    DCHAG_CHECK(a.rank() == b.rank(), "matmul_scale_softmax batch rank");
-    for (Index d = 0; d < a.rank() - 2; ++d)
-      DCHAG_CHECK(a.dim(d) == b.dim(d), "matmul_scale_softmax batch dims");
+  for (Index d = 0; d < q.rank() - 2; ++d) {
+    DCHAG_CHECK(q.dim(d) == k.dim(d), "attention_heads batch dims "
+                                          << q.shape().to_string() << " vs "
+                                          << k.shape().to_string());
+    batch *= q.dim(d);
   }
-  auto out_dims = a.shape().dims();
-  out_dims.back() = N;
-  Tensor out(Shape(std::move(out_dims)));
-  const float* pa = a.data();
-  const float* pb = b.data();
+  const Index dh = D / heads;
+  Tensor out(q.shape());
+  const float* pq = q.data();
+  const float* pk = k.data();
+  const float* pv = v.data();
   float* po = out.data();
 
-  // scale then softmax on a completed score row — the same scalar ops as
-  // ops::scale + ops::softmax_lastdim, fused into the matmul's strips.
-  auto epilogue_rows = [&](Index r0, Index r1) {
-    for (Index r = r0; r < r1; ++r) {
-      float* crow = po + r * N;
-      for (Index j = 0; j < N; ++j) crow[j] = crow[j] * s;
-      softmax_row(crow, crow, N);
+  // A unit is one query row of one (batch, head); a head's Nq units are
+  // consecutive, and a block is a run of them that shares the K^T and V
+  // panels. Each op below repeats the composition's: naive's i-k-j loops
+  // with the zero skip, or the blocked GEMM on the same panels; then
+  // ops::scale's multiply and the shared softmax row.
+  constexpr Index kRowBlock = 120;
+  const KernelConfig cfg = kernel_config();
+  const bool naive = cfg.backend == KernelBackend::kNaive;
+  auto run_units = [&](Index u0, Index u1) {
+    float* scores = thread_scores(std::min(kRowBlock, Nq) * Nk);
+    while (u0 < u1) {
+      const Index bh = u0 / Nq;
+      const Index i0 = u0 - bh * Nq;
+      const Index rows = std::min({u1 - u0, Nq - i0, kRowBlock});
+      const Index b = bh / heads;
+      const Index col = (bh - b * heads) * dh;
+      const float* Q = pq + (b * Nq + i0) * D + col;
+      const float* K = pk + b * Nk * D + col;
+      const float* V = pv + b * Nk * D + col;
+      float* O = po + (b * Nq + i0) * D + col;
+      std::fill(scores, scores + rows * Nk, 0.0f);
+      if (naive) {
+        for (Index i = 0; i < rows; ++i) {
+          float* srow = scores + i * Nk;
+          for (Index c = 0; c < dh; ++c) {
+            const float av = Q[i * D + c];
+            if (av == 0.0f) continue;
+            for (Index j = 0; j < Nk; ++j) srow[j] += av * K[j * D + c];
+          }
+        }
+      } else {
+        gemm::gemm_blocked_bt(rows, Nk, dh, Q, D, K, D, scores, Nk);
+      }
+      for (Index i = 0; i < rows; ++i) {
+        float* srow = scores + i * Nk;
+        for (Index j = 0; j < Nk; ++j) srow[j] = srow[j] * s;
+        softmax::softmax_row(srow, srow, Nk);
+      }
+      if (naive) {
+        for (Index i = 0; i < rows; ++i) {
+          float* orow = O + i * D;
+          for (Index c = 0; c < Nk; ++c) {
+            const float av = scores[i * Nk + c];
+            if (av == 0.0f) continue;
+            const float* vrow = V + c * D;
+            for (Index j = 0; j < dh; ++j) orow[j] += av * vrow[j];
+          }
+        }
+      } else {
+        gemm::gemm_blocked(rows, dh, Nk, scores, Nk, V, D, O, D);
+      }
+      u0 += rows;
     }
   };
-
-  const KernelConfig cfg = kernel_config();
-  if (cfg.backend == KernelBackend::kNaive) {
-    for (Index bi = 0; bi < batch; ++bi) {
-      const float* A = pa + bi * M * K;
-      const float* B = pb + (shared_b ? 0 : bi * K * N);
-      float* C = po + bi * M * N;
-      for (Index i = 0; i < M; ++i) {
-        float* crow = C + i * N;
-        for (Index k = 0; k < K; ++k) {
-          const float av = A[i * K + k];
-          if (av == 0.0f) continue;
-          const float* brow = B + k * N;
-          for (Index j = 0; j < N; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-    epilogue_rows(0, batch * M);
+  // matmul's grain rule: strips of >= ~1 MFLOP per lane.
+  const Index flops_per_unit = 4 * Nk * dh;
+  const Index grain =
+      std::max<Index>(1, (1 << 20) / std::max<Index>(1, flops_per_unit));
+  const Index units = batch * heads * Nq;
+  if (cfg.backend == KernelBackend::kParallel) {
+    active_pool().parallel_for(units, grain, run_units, cfg.threads);
   } else {
-    auto run_rows = [&](Index r0, Index r1) {
-      Index r = r0;
-      while (r < r1) {
-        const Index bi = r / M;
-        const Index i0 = r - bi * M;
-        const Index rows = std::min(r1 - r, M - i0);
-        gemm::gemm_blocked(rows, N, K, pa + (bi * M + i0) * K, K,
-                           pb + (shared_b ? 0 : bi * K * N), N,
-                           po + (bi * M + i0) * N, N);
-        r += rows;
-      }
-      epilogue_rows(r0, r1);
-    };
-    const Index flops_per_row = 2 * N * K;
-    const Index grain =
-        std::max<Index>(1, (1 << 20) / std::max<Index>(1, flops_per_row));
-    if (cfg.backend == KernelBackend::kParallel) {
-      active_pool().parallel_for(batch * M, grain, run_rows, cfg.threads);
-    } else {
-      run_rows(0, batch * M);
-    }
+    run_units(0, units);
   }
-  g_flops.fetch_add(
-      static_cast<std::uint64_t>(2) * static_cast<std::uint64_t>(batch) *
-          static_cast<std::uint64_t>(M) * static_cast<std::uint64_t>(N) *
-          static_cast<std::uint64_t>(K),
-      std::memory_order_relaxed);
+  // The composition's two matmuls, 2 * Nq * Nk * dh each per (b, h).
+  g_flops.fetch_add(static_cast<std::uint64_t>(4) *
+                        static_cast<std::uint64_t>(units) *
+                        static_cast<std::uint64_t>(Nk) *
+                        static_cast<std::uint64_t>(dh),
+                    std::memory_order_relaxed);
   return out;
 }
 
@@ -523,7 +538,7 @@ Tensor softmax_lastdim(const Tensor& a) {
   dispatch_range(rows, std::max<Index>(1, kEwGrain / std::max<Index>(1, D)),
                  [&](Index lo, Index hi) {
                    for (Index r = lo; r < hi; ++r)
-                     softmax_row(p + r * D, o + r * D, D);
+                     softmax::softmax_row(p + r * D, o + r * D, D);
                  });
   return out;
 }

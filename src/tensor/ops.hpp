@@ -4,9 +4,10 @@
 // matmul so the analytic hw::FlopModel can be validated against executed
 // kernels (tests/hw/flop_model_test.cpp).
 //
-// matmul, the elementwise/broadcast fast paths, softmax, layernorm, and
-// sum_dim dispatch on kernel_config() (naive | blocked | parallel); see
-// tensor/kernel_config.hpp for the backend contract and env knobs.
+// matmul, attention_heads, the elementwise/broadcast fast paths, softmax,
+// layernorm, and sum_dim dispatch on kernel_config() (naive | blocked |
+// parallel); see tensor/kernel_config.hpp for the backend contract and
+// env knobs.
 #pragma once
 
 #include <atomic>
@@ -71,9 +72,18 @@ struct LinearEpilogue {
 Tensor linear_fused(const Tensor& x, const Tensor& w,
                     const gemm::PackedB* packed, const LinearEpilogue& epi);
 
-/// softmax_lastdim(scale(matmul(a, b), s)) with the scale+softmax rows
-/// fused into the matmul's row strips (the attention score path).
-Tensor matmul_scale_softmax(const Tensor& a, const Tensor& b, float s);
+/// Multi-head attention on merged-head operands: q [*, Nq, D], k and v
+/// [*, Nk, D] with the same leading dims, D = heads * dh; returns
+/// [*, Nq, D] = merge(softmax(split(q) split(k)^T * s) split(v)). Each
+/// (row block, head) reads its q/k/v column slice in place (K^T through
+/// gemm::gemm_blocked_bt), finishes scale + softmax per score row in a
+/// per-lane scratch, and writes P V straight into the merged output, so
+/// there are no head split/merge copies and no [*, h, Nq, Nk] tensor.
+/// Bit-identical, on every backend, to the split_heads -> matmul -> scale
+/// -> softmax_lastdim -> matmul -> merge_heads composition, whose two
+/// matmuls it also counts in the FLOP ledger.
+Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
+                       Index heads, float s);
 
 Tensor transpose_last2(const Tensor& a);
 Tensor permute(const Tensor& a, const std::vector<Index>& perm);

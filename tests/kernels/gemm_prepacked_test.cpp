@@ -2,7 +2,7 @@
 //  * gemm_blocked_prepacked is bit-identical to gemm_blocked (same packed
 //    panels, same loop order) on every shape the block/offset bookkeeping
 //    could mishandle, and the packed storage is 32-byte aligned;
-//  * the fused epilogue ops (linear_fused, matmul_scale_softmax,
+//  * the fused epilogue ops (linear_fused, attention_heads,
 //    layernorm_value) are bit-identical to the unfused op chains they
 //    replace, on every backend;
 //  * the Arena reuses buffers (zero heap allocations once warm), zeroes
@@ -151,25 +151,52 @@ TEST(FusedEpilogues, LinearBitIdenticalAcrossBackends) {
   }
 }
 
-TEST(FusedEpilogues, MatmulScaleSoftmaxBitIdenticalAcrossBackends) {
+TEST(FusedEpilogues, AttentionHeadsBitIdenticalAcrossBackends) {
+  // Merged-head operands: 3 heads of 8 over 9 queries and 13 keys, with a
+  // batch of 2 and without batch dims. attention_heads_test covers the
+  // model's shapes and the lane counts.
   Rng rng(14);
-  Tensor a = rng.normal_tensor(Shape{2, 3, 9, 8}, 0.0f, 0.35f);
-  Tensor bt = rng.normal_tensor(Shape{2, 3, 8, 13}, 0.0f, 0.35f);
-  Tensor b2 = rng.normal_tensor(Shape{8, 13}, 0.0f, 0.35f);  // shared B
+  const Index heads = 3;
   const float s = 1.0f / std::sqrt(8.0f);
-  for (KernelBackend b : {KernelBackend::kNaive, KernelBackend::kBlocked,
-                          KernelBackend::kParallel}) {
-    runtime::Scope scope(backend_patch(b));
-    EXPECT_EQ(
-        ops::max_abs_diff(ops::matmul_scale_softmax(a, bt, s),
-                          ops::softmax_lastdim(ops::scale(ops::matmul(a, bt),
-                                                          s))),
-        0.0f);
-    EXPECT_EQ(
-        ops::max_abs_diff(ops::matmul_scale_softmax(a, b2, s),
-                          ops::softmax_lastdim(ops::scale(ops::matmul(a, b2),
-                                                          s))),
-        0.0f);
+  auto split = [&](const Tensor& x) {  // [*, N, 24] -> [*, 3, N, 8]
+    auto dims = x.shape().dims();
+    dims.back() = 8;
+    dims.insert(dims.end() - 1, heads);
+    const Index r = x.rank();
+    std::vector<Index> perm(static_cast<std::size_t>(r + 1));
+    for (Index i = 0; i <= r; ++i) perm[static_cast<std::size_t>(i)] = i;
+    std::swap(perm[static_cast<std::size_t>(r - 1)],
+              perm[static_cast<std::size_t>(r - 2)]);
+    return ops::permute(x.reshape(Shape(std::move(dims))), perm);
+  };
+  auto composition = [&](const Tensor& q, const Tensor& k, const Tensor& v) {
+    Tensor p = ops::softmax_lastdim(ops::scale(
+        ops::matmul(split(q), ops::transpose_last2(split(k))), s));
+    Tensor o = ops::matmul(p, split(v));  // [*, 3, Nq, 8]
+    const Index r = o.rank();
+    std::vector<Index> perm(static_cast<std::size_t>(r));
+    for (Index i = 0; i < r; ++i) perm[static_cast<std::size_t>(i)] = i;
+    std::swap(perm[static_cast<std::size_t>(r - 2)],
+              perm[static_cast<std::size_t>(r - 3)]);
+    return ops::permute(o, perm).reshape(q.shape());
+  };
+  for (const Shape& lead : {Shape{2}, Shape{}}) {
+    auto with = [&](Index n) {
+      auto dims = lead.dims();
+      dims.push_back(n);
+      dims.push_back(heads * 8);
+      return Shape(std::move(dims));
+    };
+    Tensor q = rng.normal_tensor(with(9), 0.0f, 0.35f);
+    Tensor k = rng.normal_tensor(with(13), 0.0f, 0.35f);
+    Tensor v = rng.normal_tensor(with(13), 0.0f, 0.35f);
+    for (KernelBackend b : {KernelBackend::kNaive, KernelBackend::kBlocked,
+                            KernelBackend::kParallel}) {
+      runtime::Scope scope(backend_patch(b));
+      EXPECT_EQ(ops::max_abs_diff(ops::attention_heads(q, k, v, heads, s),
+                                  composition(q, k, v)),
+                0.0f);
+    }
   }
 }
 

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "tensor/rng.hpp"
+#include "tensor/softmax.hpp"
 
 namespace dchag::tensor::ops {
 namespace {
@@ -153,6 +158,184 @@ TEST(Softmax, StableForLargeLogits) {
   Tensor a = Tensor::from_data(Shape{1, 3}, {1000.0f, 1000.0f, 1000.0f});
   Tensor y = softmax_lastdim(a);
   EXPECT_NEAR(y.at({0, 0}), 1.0f / 3.0f, 1e-5f);
+}
+
+// ----- the shared softmax row (tensor/softmax.hpp) ---------------------------
+
+/// The pre-vectorisation row, kept here as the reference for NaN/inf
+/// behaviour and accuracy: sequential std::max, std::exp, sum.
+std::vector<float> std_exp_softmax(const std::vector<float>& row) {
+  float mx = row[0];
+  for (float x : row) mx = std::max(mx, x);
+  std::vector<float> out(row.size());
+  float sum = 0.0f;
+  for (std::size_t j = 0; j < row.size(); ++j) {
+    out[j] = std::exp(row[j] - mx);
+    sum += out[j];
+  }
+  for (float& x : out) x *= 1.0f / sum;
+  return out;
+}
+
+Tensor softmax_of(const std::vector<float>& row) {
+  return softmax_lastdim(
+      Tensor::from_data(Shape{static_cast<Index>(row.size())}, row));
+}
+
+bool same_bits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Softmax, VectorTailLengthsMatchStdExp) {
+  Rng rng(41);
+  std::vector<Index> lengths;
+  for (Index d = 1; d <= 17; ++d) lengths.push_back(d);
+  lengths.push_back(32);
+  lengths.push_back(64);
+  for (Index d : lengths) {
+    Tensor a = rng.normal_tensor(Shape{3, d}, 0.0f, 3.0f);
+    Tensor y = softmax_lastdim(a);
+    Tensor twin(a.shape());
+    for (Index r = 0; r < 3; ++r) {
+      softmax::detail::softmax_row_scalar(a.data() + r * d,
+                                          twin.data() + r * d, d);
+      const std::vector<float> row(a.data() + r * d, a.data() + (r + 1) * d);
+      const std::vector<float> ref = std_exp_softmax(row);
+      float sum = 0.0f;
+      for (Index j = 0; j < d; ++j) {
+        EXPECT_NEAR(y.at({r, j}), ref[static_cast<std::size_t>(j)], 1e-6f)
+            << "D=" << d << " row " << r << " col " << j;
+        sum += y.at({r, j});
+      }
+      EXPECT_NEAR(sum, 1.0f, 1e-5f) << "D=" << d;
+    }
+    for (Index i = 0; i < a.numel(); ++i)
+      EXPECT_TRUE(same_bits(y.data()[i], twin.data()[i]))
+          << "dispatched row and scalar twin differ at D=" << d;
+  }
+}
+
+TEST(Softmax, AllEqualRowsAreExactlyUniform) {
+  for (Index d : {1, 3, 8, 9, 17, 64}) {
+    for (float level : {0.0f, -3.5f, 1000.0f}) {
+      Tensor y =
+          softmax_of(std::vector<float>(static_cast<std::size_t>(d), level));
+      for (Index j = 0; j < d; ++j)
+        EXPECT_EQ(y.at({j}), 1.0f / static_cast<float>(d))
+            << "D=" << d << " level " << level;
+    }
+  }
+}
+
+TEST(Softmax, GapsBelowTheExpClampUnderflowToZero) {
+  // std::exp is 0 or subnormal (< 2^-126) for every gap here; the vector
+  // exp must give exactly 0, not its clamp value 2^-126.
+  for (float gap : {88.0f, 90.0f, 104.0f, 200.0f, 1e4f, 1e30f}) {
+    for (Index d : {2, 11}) {  // lane in the vector body, then in the tail
+      std::vector<float> row(static_cast<std::size_t>(d), -gap);
+      row[0] = 0.0f;
+      Tensor y = softmax_of(row);
+      EXPECT_EQ(y.at({0}), 1.0f) << "gap " << gap;
+      for (Index j = 1; j < d; ++j)
+        EXPECT_EQ(y.at({j}), 0.0f) << "gap " << gap << " D=" << d;
+      EXPECT_LE(std::exp(-gap), std::ldexp(1.0f, -126));
+    }
+  }
+  float e = 1.0f;
+  softmax::detail::exp_row_scalar(&softmax::kExpUnderflow, &e, 1);
+  EXPECT_GE(e, std::ldexp(1.0f, -126)) << "the clamp itself is still normal";
+}
+
+TEST(Softmax, NanAndInfKeepTheStdExpResult) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> specials = {
+      {nan, 1.0f, 2.0f}, {1.0f, nan, 2.0f},  {inf, 1.0f, 2.0f},
+      {1.0f, 2.0f, inf}, {-inf, 0.0f, 1.0f}, {-inf, -inf, -inf},
+      {inf, inf, 0.0f},  {inf, -inf, 0.0f},  {0.0f, -inf, -inf}};
+  for (const auto& base : specials) {
+    for (std::size_t pad : {std::size_t{0}, std::size_t{8}, std::size_t{14}}) {
+      // Padding moves the special values across vector body and tail.
+      std::vector<float> row(pad, 0.5f);
+      row.insert(row.end(), base.begin(), base.end());
+      const std::vector<float> ref = std_exp_softmax(row);
+      Tensor y = softmax_of(row);
+      for (std::size_t j = 0; j < row.size(); ++j) {
+        const float got = y.at({static_cast<Index>(j)});
+        EXPECT_EQ(std::isnan(got), std::isnan(ref[j]))
+            << "pad " << pad << " col " << j << ": " << got << " vs "
+            << ref[j];
+        if (!std::isnan(ref[j])) {
+          EXPECT_NEAR(got, ref[j], 1e-6f);
+        }
+        if (ref[j] == 0.0f) {
+          EXPECT_EQ(got, 0.0f);
+        }
+      }
+    }
+  }
+}
+
+/// About 2 M points over [-87, 0], 1.3e-5 apart near 0 and spreading in
+/// proportion to |x| past -8.
+std::vector<float> dense_sweep() {
+  std::vector<float> xs;
+  for (float x = 0.0f; x >= -87.0f; x -= 1.3e-5f * std::max(1.0f, -x / 8.0f))
+    xs.push_back(x);
+  xs.push_back(-87.0f);
+  return xs;
+}
+
+TEST(Softmax, ExpRelativeErrorBelow1e6OverItsRange) {
+  const std::vector<float> xs = dense_sweep();
+  ASSERT_GT(xs.size(), 1000000u);
+  std::vector<float> ys(xs.size());
+  softmax::detail::exp_row_scalar(xs.data(), ys.data(),
+                                  static_cast<Index>(xs.size()));
+  double worst = 0.0;
+  float worst_x = 0.0f;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double ref = std::exp(static_cast<double>(xs[i]));
+    const double rel = std::abs(static_cast<double>(ys[i]) - ref) / ref;
+    if (rel > worst) {
+      worst = rel;
+      worst_x = xs[i];
+    }
+  }
+  EXPECT_LE(worst, 1e-6) << "worst at x = " << worst_x;
+}
+
+TEST(Softmax, ScalarTwinBitIdenticalToAvx2Body) {
+  if (!softmax::avx2_active()) {
+    std::printf("AVX2 body not active on this build/CPU; twin runs alone\n");
+    return;
+  }
+  const std::vector<float> xs = dense_sweep();
+  const Index n = static_cast<Index>(xs.size());
+  std::vector<float> twin(xs.size());
+  std::vector<float> avx2(xs.size());
+  softmax::detail::exp_row_scalar(xs.data(), twin.data(), n);
+  softmax::detail::exp_row_avx2(xs.data(), avx2.data(), n);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    if (!same_bits(twin[i], avx2[i]) && mismatches++ < 5)
+      ADD_FAILURE() << "exp(" << xs[i] << "): twin " << twin[i] << ", avx2 "
+                    << avx2[i];
+  EXPECT_EQ(mismatches, 0u);
+
+  // Whole rows: the lane-wise max, sum order and tails must match too.
+  Rng rng(43);
+  for (Index d = 1; d <= 67; ++d) {
+    Tensor a = rng.normal_tensor(Shape{d}, 0.0f, 4.0f);
+    std::vector<float> t(static_cast<std::size_t>(d));
+    std::vector<float> v(static_cast<std::size_t>(d));
+    softmax::detail::softmax_row_scalar(a.data(), t.data(), d);
+    softmax::detail::softmax_row_avx2(a.data(), v.data(), d);
+    for (Index j = 0; j < d; ++j)
+      EXPECT_TRUE(same_bits(t[static_cast<std::size_t>(j)],
+                            v[static_cast<std::size_t>(j)]))
+          << "softmax row D=" << d << " col " << j;
+  }
 }
 
 TEST(Gelu, KnownValues) {
